@@ -29,31 +29,13 @@ Five per-file checkers ship with the repo (see
     ``repro.exec`` task targets that are not top-level,
     import-resolvable, mutable-default-free functions.
 
-Four *whole-program* checkers reason over a cross-module call graph
-with fixed-point effect propagation (:mod:`repro.analysis.graph`,
-built from :mod:`repro.analysis.effects` summaries) instead of one
-file at a time:
+Batch/scalar replay parity is not checked here: the golden-equivalence
+and batch-replay test suites check it at runtime, on the paths the
+replays actually take.
 
-``counter-parity``
-    every stat key the scalar replay path bumps is aggregated by a
-    batch run-commit kernel, and the kernels invent no batch-only
-    keys;
-``fallback-coverage``
-    every dynamic scalar boundary (walkers, fault/persist hooks,
-    extensions, timers, os-mode) has a kernel eligibility guard and a
-    row in the EXPERIMENTS.md scalar-fallback taxonomy;
-``clock-parity``
-    no ``advance()``/clock write reachable from the batch commit path
-    outside the kernel module;
-``observer-purity``
-    interference-monitor hooks stay pure: own state and
-    ``interference.*`` counters only.
-
-Run ``python -m repro.analysis`` (text, ``--format json`` or
-``--format sarif``, optional ``--baseline`` suppression file,
-``--changed`` fast path, ``--cache-dir`` incremental effect-summary
-cache keyed on import-closure fingerprints); intentional violations
-carry an inline pragma::
+Run ``python -m repro.analysis`` (text or ``--format json``, optional
+``--baseline`` suppression file, ``--changed`` fast path); intentional
+violations carry an inline pragma::
 
     t0 = time.perf_counter()  # repro: allow-nondet(wall-clock bench measurement)
 """

@@ -11,14 +11,9 @@ read the text.
 
 Options:
 
-``--format text|json|sarif``
+``--format text|json``
     text renders one ``path:line:col: [rule] message (fix: hint)``
-    line per finding; json emits findings plus a summary document;
-    sarif emits a SARIF 2.1.0 log for CI code-review annotation.
-``--cache-dir DIR`` / ``--cache-stats FILE``
-    incremental effect-summary cache keyed on import-closure
-    fingerprints — warm runs re-extract only changed modules — plus
-    an optional hit/miss statistics dump for CI assertions.
+    line per finding; json emits findings plus a summary document.
 ``--baseline FILE``
     suppress findings recorded in a baseline file (stale entries are
     reported so the file shrinks over time).
@@ -43,8 +38,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis import baseline as baseline_mod
-from repro.analysis import cache as cache_mod
-from repro.analysis import sarif as sarif_mod
 from repro.analysis.core import (
     AnalysisContext,
     Finding,
@@ -100,25 +93,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         dest="fmt",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help=(
-            "incremental summary cache directory (keyed on import-closure "
-            "fingerprints; warm runs re-analyze only changed modules)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-stats",
-        type=Path,
-        default=None,
-        help="write cache hit/miss statistics as JSON to this file",
     )
     parser.add_argument(
         "--baseline",
@@ -214,8 +192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    cache = cache_mod.attach_cache(ctx, args.cache_dir)
-
     checker_ids = (
         [c.strip() for c in args.checkers.split(",") if c.strip()]
         if args.checkers
@@ -241,17 +217,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         findings, suppressed, stale = baseline_mod.apply(findings, entries)
 
-    if cache is not None and args.cache_stats is not None:
-        args.cache_stats.parent.mkdir(parents=True, exist_ok=True)
-        args.cache_stats.write_text(
-            json.dumps(cache.stats(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-    if args.fmt == "sarif":
-        document = sarif_mod.render(findings, all_checkers())
-        print(json.dumps(document, indent=2, sort_keys=True))
-    elif args.fmt == "json":
+    if args.fmt == "json":
         document = {
             "files": len(ctx.files),
             "findings": [f.as_dict() for f in findings],

@@ -27,15 +27,11 @@ def rules(findings):
 
 
 class TestRegistry:
-    def test_all_nine_checkers_registered(self):
+    def test_all_five_checkers_registered(self):
         ids = {c.id for c in all_checkers()}
         assert ids == {
-            "clock-parity",
-            "counter-parity",
             "determinism",
-            "fallback-coverage",
             "geometry",
-            "observer-purity",
             "persist-barrier",
             "stats-key",
             "task-safety",
@@ -695,7 +691,7 @@ class TestFindingPlumbing:
 
 class TestPragmaSpans:
     """Pin suppression semantics on multi-line statements and decorated
-    defs before the whole-program checkers lean on them."""
+    defs."""
 
     def test_trailing_pragma_on_finding_line(self, tmp_path):
         found = run_checker(

@@ -14,6 +14,8 @@ batched run.  These tests pin the two contracts that make that safe:
   run *before* mutating anything, leaving the op to the scalar path.
 """
 
+from pathlib import Path
+
 from repro.arch.machine import LINES_PER_PAGE, Machine
 from repro.common.config import (
     CacheConfig,
@@ -25,26 +27,39 @@ from repro.common.units import CACHE_LINE, KiB, MiB, PAGE_SIZE
 from repro.mem.hybrid import MemType
 from repro.replay import replay_batch
 
+#: Injected per-op behaviours the kernel cannot model; each must keep a
+#: row in the EXPERIMENTS.md scalar-fallback taxonomy.  A fallback-reason
+#: enum in the engine would replace this list.
+FALLBACK_TRIGGERS = (
+    "hardware extension",
+    "persist hook",
+    "pure walker",
+    "page fault",
+    "timer deadline",
+    "os-mode transition",
+)
+
 #: Cycles between hazard-timer fires: a handful of fires across the
 #: ~3M-cycle hazard traces (each fire lands mid-run and must force the
 #: kernel to commit, re-probe and rebuild its run state).
 HAZARD_PERIOD = 300_001
 
 
-def _tiny_config() -> MachineConfig:
-    """Shrunken hierarchy (64/256/1024-line caches, 16-entry TLB) so a
-    few thousand strided ops exercise capacity evictions, dirty
-    writebacks and TLB replacement at every level."""
+def _tiny_config(tlb_entries: int = 16) -> MachineConfig:
+    """Shrunken hierarchy (64/256/1024-line caches, 16-entry TLB by
+    default) so a few thousand strided ops exercise capacity evictions,
+    dirty writebacks and TLB replacement at every level."""
     return MachineConfig(
         l1=CacheConfig("L1", 4 * KiB, 4, hit_latency=4),
         l2=CacheConfig("L2", 16 * KiB, 4, hit_latency=14),
         llc=CacheConfig("LLC", 64 * KiB, 8, hit_latency=40),
-        tlb=TlbConfig(entries=16),
+        tlb=TlbConfig(entries=tlb_entries),
         layout=HybridLayoutConfig(8 * MiB, 8 * MiB),
     )
 
 
-def _premapped(npages: int, nvm: bool = False, read_only_every: int = 0):
+def _premapped(npages: int, nvm: bool = False, read_only_every: int = 0,
+               tlb_entries: int = 16):
     """Machine with ``npages`` identity-premapped pages, a pure walker,
     and a protection-upgrade fault handler.
 
@@ -53,7 +68,7 @@ def _premapped(npages: int, nvm: bool = False, read_only_every: int = 0):
     must break to).  Returns ``(machine, reinstall)`` — ``reinstall``
     re-points the hardware at the space after a power failure.
     """
-    machine = Machine(_tiny_config())
+    machine = Machine(_tiny_config(tlb_entries))
     kind = MemType.NVM if nvm else MemType.DRAM
     base_pfn, end_pfn = machine.layout.pfn_range(kind)
     assert npages <= end_pfn - base_pfn
@@ -325,6 +340,56 @@ class TestFallbackDiscipline:
         assert replayer.batched_ops == 0
         half = len(events) // 2
         assert half > 0 and events[:half] == events[half:]  # same stream
+
+    def test_persist_hook_forces_scalar_on_tlb_resident_l1_misses(self):
+        """TLB hits that miss the L1 need no walk, but their fills can
+        still write dirty lines back to NVM: with a persist hook armed
+        they must stay scalar too.  The pages fit the 64-entry TLB but
+        not the LLC, so the write sweeps evict dirty NVM lines while
+        every op is a TLB hit.  The stats dump cannot show a batched
+        writeback; only the persist event stream can."""
+        npages = 48
+        warmup = [(vpn * PAGE_SIZE, 8, False) for vpn in range(npages)]
+        sweep = [
+            (line * CACHE_LINE, 8, True)
+            for line in range(npages * LINES_PER_PAGE)
+        ]
+        trace = warmup + sweep + sweep
+        streams = []
+
+        def build():
+            machine, _ = _premapped(npages, nvm=True, tlb_entries=64)
+            events = []
+            machine.persist_hook = lambda kind, detail: events.append(
+                (kind, detail)
+            )
+            streams.append(events)
+            return machine
+
+        scalar, batch, replayer = _run_pair(build, trace)
+        assert replayer.batched_ops == 0
+        assert scalar.stats["tlb.miss"] == npages  # the sweeps all hit
+        scalar_events, batch_events = streams
+        assert any(kind == "wb" for kind, _ in scalar_events)
+        assert batch_events == scalar_events
+        assert _fingerprint(batch) == _fingerprint(scalar)
+
+    def test_taxonomy_documents_every_trigger(self):
+        """Each fallback trigger has a row in the scalar-fallback
+        taxonomy table of EXPERIMENTS.md (matched in the trigger
+        column), so the docs cannot silently drop one."""
+        doc = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+        text = doc.read_text(encoding="utf-8")
+        start = text.lower().index("scalar-fallback taxonomy")
+        end = text.find("\n## ", start)
+        section = text[start:end if end > 0 else len(text)]
+        triggers = [
+            line.split("|")[1].lower()
+            for line in section.splitlines()
+            if line.startswith("|")
+        ]
+        for trigger in FALLBACK_TRIGGERS:
+            assert any(trigger in row for row in triggers), trigger
 
     def test_protection_upgrade_breaks_run(self):
         """A write through a read-only translation takes the scalar

@@ -122,6 +122,41 @@ def _equivalence_pair(extensions: bool):
     return machines
 
 
+#: Seed-7 golden traffic mix: 12 clients over 3 gemOS processes with
+#: diurnal arrivals, so the replay crosses context switches and demand
+#: faults.
+_TRAFFIC = dict(
+    seed=7,
+    clients=12,
+    processes=3,
+    ops_per_client=500,
+    arrival="diurnal",
+    period=1 << 20,
+    sched_slices=32,
+)
+
+
+def _run_traffic(batch: bool, monitor: bool = True):
+    """Replay the golden traffic mix on a fresh system, optionally with
+    an :class:`InterferenceMonitor`; returns ``(system, result)``."""
+    from repro.arch.interference import InterferenceMonitor
+    from repro.platform import HybridSystem
+    from repro.workloads.traffic import (
+        ClientPopulation,
+        PopulationConfig,
+        TrafficScheduler,
+    )
+
+    schedule = ClientPopulation(PopulationConfig(**_TRAFFIC)).generate()
+    system = HybridSystem(config=small_machine_config(), persistence=False)
+    system.boot()
+    if monitor:
+        system.machine.install_interference_monitor(InterferenceMonitor())
+    scheduler = TrafficScheduler(system, schedule)
+    scheduler.provision()
+    return system, scheduler.run(batch=batch)
+
+
 class TestGoldenEquivalence:
     def test_identical_without_extensions(self):
         fast, slow = _equivalence_pair(extensions=False)
@@ -221,48 +256,39 @@ class TestGoldenEquivalence:
         switches, demand faults, and the interference monitor's
         attribution hooks — stats (interference counters included),
         clock and physical memory all byte-identical."""
-        from repro.arch.interference import InterferenceMonitor
-        from repro.platform import HybridSystem
-        from repro.workloads.traffic import (
-            ClientPopulation,
-            PopulationConfig,
-            TrafficScheduler,
-        )
-
-        config = PopulationConfig(
-            seed=7,
-            clients=12,
-            processes=3,
-            ops_per_client=500,
-            arrival="diurnal",
-            period=1 << 20,
-            sched_slices=32,
-        )
-        schedule = ClientPopulation(config).generate()
-
-        def run(batch):
-            system = HybridSystem(
-                config=small_machine_config(), persistence=False
-            )
-            system.boot()
-            system.machine.install_interference_monitor(
-                InterferenceMonitor()
-            )
-            scheduler = TrafficScheduler(system, schedule)
-            scheduler.provision()
-            return system, scheduler.run(batch=batch)
-
-        scalar_system, scalar_result = run(batch=False)
-        batch_system, batch_result = run(batch=True)
+        scalar_system, scalar_result = _run_traffic(batch=False)
+        batch_system, batch_result = _run_traffic(batch=True)
         assert _fingerprint(batch_system.machine) == _fingerprint(
             scalar_system.machine
         )
-        assert batch_result.ops == scalar_result.ops == config.total_ops
+        total_ops = _TRAFFIC["clients"] * _TRAFFIC["ops_per_client"]
+        assert batch_result.ops == scalar_result.ops == total_ops
         assert scalar_result.context_switches > 0
         assert scalar_result.batched_ops == 0  # scalar mode never batches
         # The attribution counters are inside the compared dump — and
         # non-trivial: processes really displaced each other's entries.
         assert batch_system.stats["interference.tlb.cross"] > 0
+
+    def test_interference_monitor_is_a_pure_observer(self):
+        """Attaching the monitor changes only its own ``interference.*``
+        counters: every other stat, the clock and physical memory match
+        a monitor-free run, and the batch engine batches exactly as many
+        ops either way (the monitor never turns the fast path off)."""
+        for batch in (False, True):
+            on_system, on_result = _run_traffic(batch, monitor=True)
+            off_system, off_result = _run_traffic(batch, monitor=False)
+            on_stats = on_system.stats.snapshot()
+            observed = {k for k in on_stats if k.startswith("interference.")}
+            assert observed, batch  # the monitor really attributed events
+            for key in observed:
+                del on_stats[key]
+            assert on_stats == off_system.stats.snapshot(), batch
+            _, on_clock, on_frames = _fingerprint(on_system.machine)
+            _, off_clock, off_frames = _fingerprint(off_system.machine)
+            assert on_clock == off_clock, batch
+            assert on_frames == off_frames, batch
+            assert on_result.batched_ops == off_result.batched_ops, batch
+            assert (on_result.batched_ops > 0) == batch
 
     def test_fast_path_actually_taken(self):
         """The fast machine must serve ops without entering Tlb.lookup."""
